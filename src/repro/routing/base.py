@@ -21,6 +21,12 @@ Two load paths share the stencil machinery:
   ``Router(..., scalar_fallback=True)``) for environments where the
   batched numpy path misbehaves.
 
+Both paths turn a (source node, stencil entry) pair into a channel slot
+with one formula (:meth:`Router._slots`). For topologies within the
+all-pairs budget that is a lookup in a ``(V, V)`` node-translation table
+(``src + offset`` as a node id, built once on the first scoring call);
+above it, coordinate arithmetic.
+
 :meth:`Router.link_loads_many` scores many candidate flow sets (e.g. all
 orientations of a merge-phase block) in one batched scatter — the merge
 hot path — again bitwise-identical to per-candidate calls.
@@ -109,8 +115,7 @@ class ScatterPlan:
     ``plan.add_into(out, vols)`` is bitwise-identical to
     ``router.link_loads(srcs, dsts, vols, out=out)`` for the endpoints
     the plan was built from. Hot loops that re-score the same flow set
-    under several volume signs (the refine pass's propose/rollback
-    pattern) pay the grouping + expansion cost once.
+    under several volume vectors pay the grouping + expansion cost once.
     """
 
     slots: np.ndarray     # (T,) channel-slot id per expanded entry
@@ -172,25 +177,19 @@ class Router(abc.ABC):
         self._table_dirty = True
         self._tab_indptr = np.zeros(1, dtype=np.int64)
         self._tab_offsets = np.empty((0, topology.ndim), dtype=np.int64)
-        self._tab_dims = np.empty(0, dtype=np.int64)
-        self._tab_dirs = np.empty(0, dtype=np.int64)
+        # Per entry: the offset reduced mod shape as a node id (the
+        # translation-table column) and ``dim*2 + dir`` (the slot's
+        # within-node part).
+        self._tab_rel = np.empty(0, dtype=np.int64)
+        self._tab_dd = np.empty(0, dtype=np.int64)
         self._tab_fracs = np.empty(0, dtype=np.float64)
-        # Pairwise (src*V + dst) -> offset-key/delta lookup, built lazily
-        # for small-enough topologies: hot callers (the refine loop) then
-        # skip per-call delta reduction entirely.
+        # Pairwise (src*V + dst) -> offset-key/delta lookup and the
+        # (src*V + rel) -> node translation table, built lazily for
+        # small-enough topologies: hot callers then skip per-call delta
+        # reduction and coordinate arithmetic entirely.
         self._pair_keys: np.ndarray | None = None
         self._pair_deltas: np.ndarray | None = None
-        # Per-pair (slots, fracs) expansions: (src, dst) pairs recur
-        # heavily in the refine loop, so their entry streams are cached
-        # whole in a pooled CSR (pid -> cache id -> pooled slice) that a
-        # hot call assembles with pure gathers. Bounded so pathological
-        # pair churn cannot eat the heap.
-        self._pair_cid: np.ndarray | None = None
-        self._pp_count = 0
-        self._pp_indptr = np.zeros(1024, dtype=np.int64)
-        self._pp_slots = np.empty(0, dtype=np.int64)
-        self._pp_fracs = np.empty(0, dtype=np.float64)
-        self._pair_cache_cap = 262144
+        self._plus: np.ndarray | None = None
         self._sid_by_key: dict[int, int] = {}
         # Dense key -> stencil id map (-1 = unseen) when the key space is
         # small enough; replaces the per-group dict loop with one gather.
@@ -274,26 +273,55 @@ class Router(abc.ABC):
                 [np.atleast_2d(s.offsets).reshape(-1, self.topology.ndim)
                  for s in sts]
             )
-            self._tab_dims = np.concatenate([s.dims for s in sts])
-            self._tab_dirs = np.concatenate([s.dirs for s in sts])
+            self._tab_rel, self._tab_dd = self._rel_dd(
+                self._tab_offsets,
+                np.concatenate([s.dims for s in sts]),
+                np.concatenate([s.dirs for s in sts]),
+            )
             self._tab_fracs = np.concatenate([s.fracs for s in sts])
         self._table_dirty = False
+
+    def _rel_dd(self, offsets, dims, dirs):
+        """Translation-table column and ``dim*2 + dir`` per stencil entry."""
+        rel = (offsets % self._shape_row) @ self.topology.strides
+        return rel, dims * 2 + dirs
+
+    def _slots(self, src_nodes, entries, offsets, rel, dd) -> np.ndarray:
+        """Channel-slot ids of entries ``entries`` seen from ``src_nodes``.
+
+        ``offsets``/``rel``/``dd`` are per-entry arrays indexed by
+        ``entries``; ``src_nodes`` and ``entries`` broadcast. The
+        channel's source node ``src + offset`` comes from the translation
+        table when it exists and from coordinate arithmetic otherwise —
+        integer-exact either way. Mesh dimensions need no special case in
+        the table: on a valid route ``c + o`` lies in ``[0, k)``, so
+        ``(c + (o mod k)) mod k`` is ``c + o`` there.
+        """
+        topo = self.topology
+        if self._plus is not None:
+            nodes = self._plus[src_nodes * topo.num_nodes + rel[entries]]
+        else:
+            c = topo.coords_array[src_nodes] + offsets[entries]
+            if self._all_wrap:
+                c %= self._shape_row
+            elif len(self._wrap_dims):
+                c[..., self._wrap_dims] %= self._wrap_extents
+            nodes = c @ topo.strides
+        return nodes * (2 * topo.ndim) + dd[entries]
 
     def stencil_slots(self, st: Stencil, src_nodes) -> np.ndarray:
         """Channel-slot ids ``st`` touches for each source node, shape (m, E).
 
-        Shared by :meth:`link_loads`, the fluid simulator's usage matrix
-        and the attribution engine so the three can never disagree on
-        which channels a flow crosses.
+        Shared by the scalar :meth:`link_loads` path, the fluid
+        simulator's usage matrix and the attribution engine; it and the
+        vectorized path both go through :meth:`_slots`, so no two of
+        them can disagree on which channels a flow crosses.
         """
-        topo = self.topology
         src_nodes = np.asarray(src_nodes, dtype=np.int64)
-        c = topo.coords_array[src_nodes][:, None, :] + st.offsets[None, :, :]
-        for d in range(topo.ndim):
-            if topo.wrap[d]:
-                c[..., d] %= topo.shape[d]
-        nodes = c @ topo.strides
-        return (nodes * topo.ndim + st.dims[None, :]) * 2 + st.dirs[None, :]
+        offsets = np.asarray(st.offsets).reshape(-1, self.topology.ndim)
+        rel, dd = self._rel_dd(offsets, st.dims, st.dirs)
+        entries = np.arange(st.num_entries, dtype=np.int64)
+        return self._slots(src_nodes[:, None], entries[None, :], offsets, rel, dd)
 
     def group_flows_by_offset(self, srcs, dsts):
         """Group flow indices by their routing offset.
@@ -305,10 +333,13 @@ class Router(abc.ABC):
         shifting into ``[0, 2k)`` per dim is collision-free).
         """
         deltas = self.topology.delta(srcs, dsts)
-        order, starts, sizes = self._offset_groups(deltas)
-        bounds = np.concatenate((starts, [len(order)]))
-        groups = [order[bounds[i]: bounds[i + 1]] for i in range(len(starts))]
-        return deltas, groups
+        keys = self._keys_for(deltas)
+        order = np.argsort(keys, kind="stable")
+        if len(order) == 0:
+            return deltas, []
+        sorted_keys = keys[order]
+        bounds = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        return deltas, np.split(order, bounds)
 
     def _keys_for(self, deltas: np.ndarray) -> np.ndarray:
         """Collision-free mixed-radix key per offset row (sort == group)."""
@@ -318,35 +349,14 @@ class Router(abc.ABC):
             keys = keys * (2 * shape_arr[d] + 1) + (deltas[:, d] + shape_arr[d])
         return keys
 
-    @staticmethod
-    def _group_sorted(keys: np.ndarray):
-        """(order, starts, sizes) of a stable sort-and-group over keys."""
-        order = np.argsort(keys, kind="stable")
-        n = len(order)
-        if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return order, empty, empty.copy()
-        keys_sorted = keys[order]
-        mask = np.empty(n, dtype=bool)
-        mask[0] = True
-        np.not_equal(keys_sorted[1:], keys_sorted[:-1], out=mask[1:])
-        starts = np.flatnonzero(mask)
-        sizes = np.empty(len(starts), dtype=np.int64)
-        sizes[:-1] = starts[1:] - starts[:-1]
-        sizes[-1] = n - starts[-1]
-        return order, starts, sizes
-
-    def _offset_groups(self, deltas: np.ndarray):
-        """Stable grouping of flows by offset key.
-
-        Returns ``(order, starts, sizes)``: flow indices sorted stably by
-        mixed-radix offset key, the start position of each distinct-key
-        group within ``order``, and each group's size.
-        """
-        return self._group_sorted(self._keys_for(deltas))
+    # All-pairs tables are built when ``V^2 * (ndim + 1)`` stays within
+    # this many entries (512 nodes x 5 dims: 1.6M).
+    _pair_table_budget = 16_000_000
 
     def _build_pair_tables(self) -> None:
-        """Precompute offset keys and deltas for every (src, dst) pair."""
+        """Precompute, for every (src, dst) pair, the offset key and delta,
+        and the translation table ``plus[src*V + rel]``: the node id of
+        ``(coords[src] + coords[rel]) mod shape``."""
         topo = self.topology
         V = topo.num_nodes
         s = np.repeat(np.arange(V, dtype=np.int64), V)
@@ -354,7 +364,12 @@ class Router(abc.ABC):
         deltas = topo.delta(s, d)
         self._pair_deltas = deltas
         self._pair_keys = self._keys_for(deltas)
-        self._pair_cid = np.full(V * V, -1, dtype=np.int64)
+        plus = np.zeros((V, V), dtype=np.int64)
+        coords = topo.coords_array
+        for dim in range(topo.ndim):
+            c = coords[:, dim]
+            plus += ((c[:, None] + c[None, :]) % topo.shape[dim]) * topo.strides[dim]
+        self._plus = plus.ravel()
 
     # -- load computation -----------------------------------------------------------
     def link_loads(self, srcs, dsts, vols, out: np.ndarray | None = None) -> np.ndarray:
@@ -418,7 +433,7 @@ class Router(abc.ABC):
         return out
 
     def _expansion_parts(self, srcs: np.ndarray, dsts: np.ndarray):
-        """Group-level expansion metadata for a set of off-node flows.
+        """Per-flow expansion metadata for a set of off-node flows.
 
         Returns ``(order, per_flow, entry_start)`` — sorted flow indices
         (ascending offset key, stable), the table-entry count per sorted
@@ -431,7 +446,7 @@ class Router(abc.ABC):
         V = topo.num_nodes
         if (
             self._pair_keys is None
-            and V * V * (topo.ndim + 1) <= 16_000_000
+            and V * V * (topo.ndim + 1) <= self._pair_table_budget
         ):
             self._build_pair_tables()
         if self._pair_keys is not None:
@@ -442,37 +457,41 @@ class Router(abc.ABC):
             pid = None
             deltas = topo.delta(srcs, dsts)
             keys = self._keys_for(deltas)
-        order, starts, sizes = self._group_sorted(keys)
-        group_keys = keys[order[starts]]
-        if self._sid_dense is not None:
-            sids = self._sid_dense[group_keys]
-            miss = np.flatnonzero(sids < 0)
-        else:
-            sids = np.array(
-                [self._sid_by_key.get(int(k), -1) for k in group_keys],
-                dtype=np.int64,
-            )
-            miss = np.flatnonzero(sids < 0)
-        for j in miss:
-            f = order[starts[j]]
-            row = self._pair_deltas[pid[f]] if deltas is None else deltas[f]
-            dkey = tuple(int(x) for x in row)
-            self.stencil(dkey)  # counts the hit/miss, builds if new
-            sid = self._stencil_ids[dkey]
-            sids[j] = sid
-            if self._sid_dense is not None:
-                self._sid_dense[group_keys[j]] = sid
-            else:
-                self._sid_by_key[int(group_keys[j])] = sid
-        hits = len(starts) - len(miss)
-        if hits:
-            self._m_stencil_hits.inc(hits)
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        sids = self._sids_for(sorted_keys)
+        miss = np.flatnonzero(sids < 0)
+        new = 0
+        if len(miss):
+            _, first = np.unique(sorted_keys[miss], return_index=True)
+            for j in miss[first]:
+                f = order[j]
+                row = self._pair_deltas[pid[f]] if deltas is None else deltas[f]
+                dkey = tuple(int(x) for x in row)
+                self.stencil(dkey)  # counts the hit/miss, builds if new
+                sid = self._stencil_ids[dkey]
+                if self._sid_dense is not None:
+                    self._sid_dense[sorted_keys[j]] = sid
+                else:
+                    self._sid_by_key[int(sorted_keys[j])] = sid
+            sids = self._sids_for(sorted_keys)
+            new = len(first)
+        if len(sorted_keys):
+            groups = np.count_nonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+            if groups > new:
+                self._m_stencil_hits.inc(groups - new)
         self._refresh_table()
         indptr = self._tab_indptr
-        ecnt = indptr[sids + 1] - indptr[sids]            # entries per group
-        per_flow = np.repeat(ecnt, sizes)                 # entries per sorted flow
-        entry_start = np.repeat(indptr[sids], sizes)      # first entry per flow
-        return order, per_flow, entry_start
+        entry_start = indptr[sids]
+        return order, indptr[sids + 1] - entry_start, entry_start
+
+    def _sids_for(self, keys: np.ndarray) -> np.ndarray:
+        """Stencil-table id per offset key (-1 where not yet seen)."""
+        if self._sid_dense is not None:
+            return self._sid_dense[keys]
+        uniq, inv = np.unique(keys, return_inverse=True)
+        sids = [self._sid_by_key.get(int(k), -1) for k in uniq]
+        return np.asarray(sids, dtype=np.int64)[inv]
 
     @staticmethod
     def _materialize_expansion(order, per_flow, entry_start):
@@ -483,10 +502,9 @@ class Router(abc.ABC):
             return empty, empty
         flows_exp = np.repeat(order, per_flow)
         flow_start = np.cumsum(per_flow) - per_flow       # expansion offsets
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            flow_start, per_flow
+        entries_exp = np.arange(total, dtype=np.int64) + np.repeat(
+            entry_start - flow_start, per_flow
         )
-        entries_exp = np.repeat(entry_start, per_flow) + within
         return flows_exp, entries_exp
 
     def _expand_entries(self, srcs: np.ndarray, dsts: np.ndarray):
@@ -536,16 +554,9 @@ class Router(abc.ABC):
 
     def _entry_slots(self, src_nodes: np.ndarray, entries: np.ndarray) -> np.ndarray:
         """Channel-slot ids for (source node, table entry) pairs."""
-        topo = self.topology
-        c = topo.coords_array[src_nodes] + self._tab_offsets[entries]
-        if self._all_wrap:
-            c %= self._shape_row
-        elif len(self._wrap_dims):
-            c[:, self._wrap_dims] %= self._wrap_extents
-        nodes = c @ topo.strides
-        return (nodes * topo.ndim + self._tab_dims[entries]) * 2 + self._tab_dirs[
-            entries
-        ]
+        return self._slots(
+            src_nodes, entries, self._tab_offsets, self._tab_rel, self._tab_dd
+        )
 
     def link_loads_many(
         self,
@@ -631,120 +642,25 @@ class Router(abc.ABC):
             slots, self._tab_fracs[entries_exp], keep[flows_exp]
         )
 
-    def pair_tables_available(self) -> bool:
-        """True when the all-pairs key/delta tables exist (or fit)."""
-        if self._pair_keys is not None:
-            return True
-        topo = self.topology
-        V = topo.num_nodes
-        if V * V * (topo.ndim + 1) <= 16_000_000:
-            self._build_pair_tables()
-            return True
-        return False
-
-    def _pair_entry(self, pid: int, src: int) -> tuple[np.ndarray, np.ndarray]:
-        """(slots, fracs) entry stream for one (src, dst) pair."""
-        dkey = tuple(int(x) for x in self._pair_deltas[pid])
-        self.stencil(dkey)
-        self._refresh_table()
-        sid = self._stencil_ids[dkey]
-        i0 = int(self._tab_indptr[sid])
-        i1 = int(self._tab_indptr[sid + 1])
-        if i0 == i1:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        entries = np.arange(i0, i1, dtype=np.int64)
-        slots = self._entry_slots(
-            np.full(i1 - i0, src, dtype=np.int64), entries
-        )
-        return slots, self._tab_fracs[i0:i1].copy()
-
-    def pair_scatter(self, srcs, dsts, vols) -> PairPlan | None:
-        """Build a :class:`PairPlan` from per-pair cached expansions.
+    def pair_scatter(self, srcs, dsts, vols) -> PairPlan:
+        """Precompute the load scatter of fixed flows, volumes multiplied in.
 
         ``plan.add_into(out)`` is bitwise-identical to
         ``link_loads(srcs, dsts, vols, out=out)`` and
         ``plan.add_into(out, sign=-1)`` to the same call with ``-vols``:
-        the flow stream is the identical stable key sort, each pair's
-        entry block is the identical stencil slice, and IEEE negation
-        distributes exactly over the products. Returns ``None`` when the
-        all-pairs tables don't fit (callers fall back to
-        :meth:`scatter_plan`).
-
-        Unlike :meth:`scatter_plan` the per-pair expansions are cached
-        across calls, so hot loops that revisit the same endpoints (the
-        refine pass) skip the grouping/expansion machinery entirely.
+        the plan is the same (flow, entry) stream times the same volumes,
+        and IEEE negation distributes exactly over the products.
         """
-        if self.scalar_fallback or not self.pair_tables_available():
-            return None
-        topo = self.topology
-        V = topo.num_nodes
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
         vols = np.asarray(vols, dtype=np.float64)
         if not (srcs.shape == dsts.shape == vols.shape) or srcs.ndim != 1:
             raise RoutingError("srcs, dsts, vols must be equal-length 1-D arrays")
         keep = np.flatnonzero(srcs != dsts)
-        empty_plan = PairPlan(np.empty(0, dtype=np.int64), np.empty(0))
-        if len(keep) == 0:
-            return empty_plan
         s = srcs[keep]
-        pid = s * V + dsts[keep]
-        order = np.argsort(self._pair_keys[pid], kind="stable")
-        pid_s = pid[order]
-        cids = self._pair_cid[pid_s]
-        for j in np.flatnonzero(cids < 0):
-            p = int(pid_s[j])
-            c = int(self._pair_cid[p])  # a duplicate pid may be cached now
-            if c < 0 and self._pp_count < self._pair_cache_cap:
-                slots_e, fracs_e = self._pair_entry(p, int(s[order[j]]))
-                c = self._pair_pool_append(slots_e, fracs_e)
-                self._pair_cid[p] = c
-            cids[j] = c
-        if (cids < 0).any():
-            # Cache cap exhausted: same stream via the uncached expansion.
-            vols_k = vols[keep]
-            flows_exp, entries_exp = self._expand_entries(s, dsts[keep])
-            if len(flows_exp) == 0:
-                return empty_plan
-            slots = self._entry_slots(s[flows_exp], entries_exp)
-            return PairPlan(
-                slots, vols_k[flows_exp] * self._tab_fracs[entries_exp]
-            )
-        indptr = self._pp_indptr
-        counts = indptr[cids + 1] - indptr[cids]
-        total = int(counts.sum())
-        self._m_scatter_entries.inc(total)
-        if total == 0:
-            return empty_plan
-        starts = np.cumsum(counts) - counts
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-        idx = np.repeat(indptr[cids], counts) + within
-        contrib = np.repeat(vols[keep[order]], counts) * self._pp_fracs[idx]
-        return PairPlan(self._pp_slots[idx], contrib)
-
-    def _pair_pool_append(self, slots: np.ndarray, fracs: np.ndarray) -> int:
-        """Append one pair's entry stream to the pooled CSR (amortized O(1))."""
-        n = len(fracs)
-        cnt = self._pp_count
-        end = int(self._pp_indptr[cnt])
-        need = end + n
-        if need > len(self._pp_slots):
-            cap = max(1024, 2 * len(self._pp_slots), need)
-            grown = np.empty(cap, dtype=np.int64)
-            grown[:end] = self._pp_slots[:end]
-            self._pp_slots = grown
-            grownf = np.empty(cap, dtype=np.float64)
-            grownf[:end] = self._pp_fracs[:end]
-            self._pp_fracs = grownf
-        if cnt + 2 > len(self._pp_indptr):
-            grown = np.empty(2 * len(self._pp_indptr), dtype=np.int64)
-            grown[: cnt + 1] = self._pp_indptr[: cnt + 1]
-            self._pp_indptr = grown
-        self._pp_slots[end:need] = slots
-        self._pp_fracs[end:need] = fracs
-        self._pp_indptr[cnt + 1] = need
-        self._pp_count = cnt + 1
-        return cnt
+        flows_exp, entries_exp = self._expand_entries(s, dsts[keep])
+        slots = self._entry_slots(s[flows_exp], entries_exp)
+        return PairPlan(slots, vols[keep][flows_exp] * self._tab_fracs[entries_exp])
 
     # -- metrics ---------------------------------------------------------------------
     def max_channel_load(self, srcs, dsts, vols) -> float:

@@ -4,8 +4,8 @@ The vectorized CSR routing path, the batched orientation transform, the
 pair-delta scatter plans and the chunked expansion are all *defined* as
 bitwise-identical reorderings-free rewrites of the scalar reference
 loops. These tests pin that contract on mixed-radix tori up to the
-paper's 4x4x4x4x2 BG/Q shape: every comparison is ``==`` on float64
-arrays, never ``allclose``.
+paper's 4x4x4x4x2 BG/Q shape and on meshes: every comparison is ``==``
+on float64 arrays, never ``allclose``.
 """
 
 import numpy as np
@@ -16,9 +16,13 @@ from repro.core.merge import MergeBlock, MergeConfig, _MergeEngine
 from repro.core.milp import solve_cluster_milp
 from repro.core.orientation import all_orientations, apply_batch
 from repro.routing import DimensionOrderRouter, MinimalAdaptiveRouter
-from repro.routing.base import clear_stencil_cache, scalar_routing_requested
+from repro.routing.base import (
+    Router,
+    clear_stencil_cache,
+    scalar_routing_requested,
+)
 from repro.routing.valiant import ValiantRouter
-from repro.topology import CartesianTopology
+from repro.topology import CartesianTopology, hypercube
 
 SHAPES = [(4, 4), (4, 2), (3, 5, 2), (4, 4, 4), (2, 3, 4, 5), (4, 4, 4, 4, 2)]
 
@@ -111,10 +115,8 @@ def test_pair_scatter_propose_rollback_is_exact():
     loop's propose/rollback contract."""
     topo = CartesianTopology((4, 4), wrap=True)
     router = MinimalAdaptiveRouter(topo)
-    assert router.pair_tables_available()
     srcs, dsts, vols = flows_for(topo, 80, seed=5)
     plan = router.pair_scatter(srcs, dsts, vols)
-    assert plan is not None
     fresh = np.zeros(topo.num_channel_slots)
     plan.add_into(fresh)
     assert np.array_equal(fresh, router.link_loads(srcs, dsts, vols))
@@ -124,6 +126,95 @@ def test_pair_scatter_propose_rollback_is_exact():
     reference = base.copy()
     router.link_loads(srcs, dsts, -vols, out=reference)
     assert np.array_equal(undone, reference)
+
+
+NON_TORI = [
+    ("mesh4x4", CartesianTopology((4, 4), wrap=False)),
+    ("mixed4x3", CartesianTopology((4, 3), wrap=(True, False))),
+    ("hypercube3", hypercube(3, wrap=False)),
+]
+
+
+@pytest.mark.parametrize("topo", [t for _, t in NON_TORI],
+                         ids=[n for n, _ in NON_TORI])
+@pytest.mark.parametrize("cls", [MinimalAdaptiveRouter, DimensionOrderRouter],
+                         ids=["mar", "dor"])
+def test_vectorized_kernels_bitwise_equal_scalar_on_meshes(topo, cls):
+    """On mesh and mixed-wrap dimensions the translation-table lookup
+    (offset reduced mod k, sum reduced mod k) is exact, so every
+    vectorized kernel matches the scalar path's coordinate arithmetic."""
+    fast = cls(topo)
+    slow = cls(topo, scalar_fallback=True)
+    srcs, dsts, vols = flows_for(topo, 200, seed=topo.num_nodes)
+    ref = slow.link_loads(srcs, dsts, vols)
+    assert np.array_equal(fast.link_loads(srcs, dsts, vols), ref)
+    assert fast._plus is not None and slow._plus is None
+
+    B, m = 4, 50
+    bs, bd, bv = srcs[: B * m].reshape(B, m), dsts[: B * m].reshape(B, m), vols[:m]
+    out = np.zeros((B, topo.num_channel_slots))
+    fast.link_loads_many(bs, bd, bv, out)
+    for b in range(B):
+        assert np.array_equal(out[b], slow.link_loads(bs[b], bd[b], bv))
+
+    plan = fast.pair_scatter(srcs, dsts, vols)
+    assert np.array_equal(plan.add_into(np.zeros_like(ref)), ref)
+    assert np.array_equal(
+        plan.add_into(np.zeros_like(ref), sign=-1.0),
+        slow.link_loads(srcs, dsts, -vols),
+    )
+
+
+def coordinate_slots(topo, src_nodes, offsets, dims, dirs):
+    """Slot ids from coordinates: ``(coords[src] + offset) mod shape``."""
+    nodes = 0
+    for d, (k, stride) in enumerate(zip(topo.shape, topo.strides)):
+        nodes = nodes + (topo.coords_array[src_nodes, d] + offsets[..., d]) % k * stride
+    return (nodes * topo.ndim + dims) * 2 + dirs
+
+
+def test_translation_table_equals_coordinate_arithmetic_bgq():
+    """Every (node, table entry) pair on the paper's 4x4x4x4x2 shape gets
+    the same channel slot from the table lookup as from coordinate
+    arithmetic — through the table-entry kernel and through
+    :meth:`Router.stencil_slots`."""
+    topo = CartesianTopology((4, 4, 4, 4, 2), wrap=True)
+    router = MinimalAdaptiveRouter(topo)
+    V = topo.num_nodes
+    for dst in range(V):
+        router.stencil(topo.delta(np.array([0]), np.array([dst]))[0])
+    router._refresh_table()
+    router._build_pair_tables()
+    dims = np.concatenate([st.dims for st in router._stencil_seq])
+    dirs = np.concatenate([st.dirs for st in router._stencil_seq])
+    entries = np.arange(len(dims), dtype=np.int64)[None, :]
+    all_nodes = np.arange(V)
+    for chunk in np.split(all_nodes[:, None], 32):
+        ref = coordinate_slots(topo, chunk, router._tab_offsets[None], dims, dirs)
+        assert np.array_equal(router._entry_slots(chunk, entries), ref)
+    for st in router._stencil_seq:
+        ref = coordinate_slots(
+            topo, all_nodes[:, None], st.offsets[None], st.dims, st.dirs
+        )
+        assert np.array_equal(router.stencil_slots(st, all_nodes), ref)
+
+
+def test_pair_scatter_above_pair_table_budget():
+    """Above the all-pairs budget no tables are built and the coordinate
+    arithmetic serves the same bitwise plans."""
+    topo = CartesianTopology((50, 50), wrap=True)
+    assert topo.num_nodes ** 2 * (topo.ndim + 1) > Router._pair_table_budget
+    router = MinimalAdaptiveRouter(topo)
+    slow = MinimalAdaptiveRouter(topo, scalar_fallback=True)
+    srcs, dsts, vols = flows_for(topo, 40, seed=17)
+    plan = router.pair_scatter(srcs, dsts, vols)
+    assert router._plus is None and router._pair_keys is None
+    ref = slow.link_loads(srcs, dsts, vols)
+    assert np.array_equal(plan.add_into(np.zeros_like(ref)), ref)
+    assert np.array_equal(
+        plan.add_into(np.zeros_like(ref), sign=-1.0),
+        slow.link_loads(srcs, dsts, -vols),
+    )
 
 
 def test_scalar_escape_hatch_env(monkeypatch):
